@@ -38,8 +38,8 @@ namespace bigdansing {
 /// pairs (single flow) or all cross-flow pairs (two flows); no Block ->
 /// one global block; no Scope -> identity. Iterate outputs cannot feed
 /// other Iterates (bushy plans over iterate outputs, Appendix E, are out
-/// of scope for the job API; use RuleEngine::DetectAcross for the
-/// supported two-table case).
+/// of scope for the job API; use a two-table DetectRequest (`right`) for
+/// the supported two-table case).
 class Job {
  public:
   /// Scope UDF: unit -> filtered/transformed units (may replicate or drop).

@@ -12,6 +12,7 @@
 
 #include "common/status.h"
 #include "core/bigdansing.h"
+#include "core/fixpoint.h"
 #include "core/physical_plan.h"
 #include "data/dictionary.h"
 #include "data/table.h"
@@ -22,14 +23,11 @@
 
 namespace bigdansing {
 
-struct QualityIterationSample;
-
 /// Options for a streaming cleanse session (BigDansing::OpenStream).
 struct StreamOptions {
-  /// Planner/repair/freeze knobs shared with the one-shot path. The
-  /// session's windowed fix-point uses clean.max_iterations as its
-  /// per-window iteration cap unless max_window_iterations overrides it,
-  /// and clean.fault_policy scopes every window's stages.
+  /// Planner/repair/freeze knobs shared with the one-shot path: every
+  /// window runs Clean()'s fix-point loop with clean.max_iterations as its
+  /// iteration cap, and clean.fault_policy scopes the window's stages.
   CleanOptions clean;
 
   /// Rows per micro-batch; Append() splits larger row vectors. 0 inherits
@@ -47,14 +45,6 @@ struct StreamOptions {
   ///          before enqueueing anything; the caller Poll()s and retries.
   bool block_on_backpressure = true;
 
-  /// Per-window fix-point iteration cap; 0 inherits clean.max_iterations.
-  size_t max_window_iterations = 0;
-
-  /// When true (default), Flush() ends with full-table verification
-  /// windows, so a drained session converges to the same fix-point
-  /// contract as one-shot Clean(). Disable for latency-only measurements.
-  bool verify_on_flush = true;
-
   /// Observability namespace (the /streams record name, the /stages
   /// context label, the /quality run session). Empty -> "stream-<id>".
   std::string session_name;
@@ -65,8 +55,8 @@ struct StreamOptions {
   static size_t DefaultMaxInflight();
 };
 
-/// Outcome of one processed window (one Poll(), or one verification pass
-/// during Flush()).
+/// Outcome of one processed window (one Poll(), or the full-table
+/// verification window that ends Flush()).
 struct StreamWindowReport {
   uint64_t window_id = 0;
   size_t appended_rows = 0;
@@ -83,12 +73,10 @@ struct StreamWindowReport {
   double repair_seconds = 0.0;
 };
 
-/// Outcome of Flush(): every window drained plus the verification passes.
+/// Outcome of Flush(): every window drained plus the verification window.
 struct StreamFlushReport {
   std::vector<StreamWindowReport> windows;
-  /// True when the final full-table verification found no repairable
-  /// violations (always false when verify_on_flush is off and dirt
-  /// remained untouched — which Flush() never leaves behind).
+  /// True when the final full-table verification window converged.
   bool converged = false;
   size_t total_violations = 0;
   size_t total_applied_fixes = 0;
@@ -99,8 +87,8 @@ struct StreamFlushReport {
 /// processes one window — encode the batch against the session's persistent
 /// ValuePools, update the per-rule incremental violation index
 /// (blocking-key -> candidate row set), detect only inside the blocks the
-/// window touched, and run repair as a windowed fix-point seeded by the
-/// engine's incremental detection path. Created by BigDansing::OpenStream.
+/// window touched, and run Clean()'s fix-point loop over that narrower
+/// detection scope. Created by BigDansing::OpenStream.
 ///
 /// Thread-compatible like RuleEngine: one caller thread at a time; the
 /// session parallelizes internally and publishes snapshots to the /streams
@@ -135,8 +123,9 @@ class StreamSession {
   /// when nothing is pending.
   Result<StreamWindowReport> Poll();
 
-  /// Drains every pending window, then (verify_on_flush) runs full-table
-  /// verification windows until convergence or the window iteration cap.
+  /// Drains every pending window, then runs one verification window whose
+  /// detection scope is the whole table, so a drained session reaches the
+  /// same fix point as one-shot Clean().
   Result<StreamFlushReport> Flush();
 
   /// Current observable counters (also pushed to the StreamDirectory).
@@ -158,6 +147,7 @@ class StreamSession {
 
  private:
   friend class BigDansing;
+  class WindowScope;
 
   /// Per-rule incremental violation index state.
   struct RuleIndex {
@@ -212,6 +202,8 @@ class StreamSession {
   /// Re-keys one live row after a repair changed its cells; old and new
   /// blocks both become dirty for the current window.
   void Rekey(const Row& row);
+  /// Marks the blocks holding `rows` dirty in every rule index.
+  void MarkDirty(const std::unordered_set<RowId>& rows);
 
   /// True when a window has anything to do.
   bool HasWork() const;
@@ -224,25 +216,13 @@ class StreamSession {
   bool BlockMayViolate(RuleIndex* ri, const std::vector<size_t>& positions);
 
   /// Processes one window: moves the oldest batch (if any) into the table
-  /// and runs the windowed detect/repair fix-point over the dirty blocks.
-  Result<StreamWindowReport> ProcessWindow();
-
-  /// Runs full-table windows until convergence (Flush verification).
-  Status RunVerifyWindows(StreamFlushReport* out);
+  /// and runs the fix-point loop over the dirty blocks — or, when
+  /// `verify`, over the whole table (Flush verification).
+  Result<StreamWindowReport> ProcessWindow(bool verify);
 
   /// Candidate sub-table of rule `ri`'s dirty blocks (kernel-prescreened),
   /// in table row order. Returns the candidate row count via `candidates`.
   Table BuildCandidateTable(RuleIndex* ri, size_t* candidates);
-
-  /// Applies repair assignments through the session (position map, code
-  /// re-encode, block re-keying, lineage/quality attribution). Returns
-  /// cells actually changed. Freeze bookkeeping and dirty re-marking stay
-  /// with the caller, mirroring Clean()'s ordering.
-  size_t ApplyWindowAssignments(
-      const std::vector<CellAssignment>& assignments,
-      const std::vector<FixProvenance>& provenance, size_t iteration,
-      const std::vector<ViolationWithFixes>& violations,
-      QualityIterationSample* sample);
 
   void PushStats(bool closing = false);
 
@@ -283,10 +263,8 @@ class StreamSession {
   /// incremental fallback path for unindexed rules).
   std::unordered_set<RowId> pending_changed_;
 
-  /// Freeze bookkeeping shared across all windows of the session (same
-  /// oscillation-termination contract as Clean()).
-  std::unordered_map<CellRef, size_t, CellRefHash> update_counts_;
-  std::unordered_set<CellRef, CellRefHash> frozen_;
+  /// Freeze state shared across all windows of the session.
+  FreezeState freeze_;
 
   uint64_t window_seq_ = 0;
   StreamSessionStats stats_;

@@ -44,11 +44,13 @@ class Reader {
 
   bool ReadString(std::string* out) {
     uint64_t len = 0;
-    if (!Read(&len) || pos_ + len > buffer_.size()) return false;
+    if (!Read(&len) || len > remaining()) return false;
     out->assign(buffer_.data() + pos_, len);
     pos_ += len;
     return true;
   }
+
+  size_t remaining() const { return buffer_.size() - pos_; }
 
  private:
   const std::string& buffer_;
@@ -296,7 +298,13 @@ Result<Table> DeserializeTableBinary(const std::string& buffer) {
     if (!reader.ReadString(&n)) return Status::ParseError("corrupt schema");
   }
   uint64_t num_rows = 0;
-  if (!reader.Read(&num_rows)) return Status::ParseError("corrupt row count");
+  // Every row takes at least its id plus one type tag per column, so a
+  // count the remaining bytes cannot hold is corrupt — reject it before
+  // anything is sized from it.
+  if (!reader.Read(&num_rows) ||
+      num_rows > reader.remaining() / (sizeof(RowId) + num_cols)) {
+    return Status::ParseError("corrupt row count");
+  }
   std::vector<RowId> ids(num_rows);
   for (auto& id : ids) {
     if (!reader.Read(&id)) return Status::ParseError("corrupt row ids");

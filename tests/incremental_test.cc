@@ -8,6 +8,7 @@
 #include "datagen/datagen.h"
 #include "repair/quality.h"
 #include "rules/parser.h"
+#include "rules/udf_rule.h"
 
 namespace bigdansing {
 namespace {
@@ -117,6 +118,45 @@ TEST(Incremental, NoDuplicateProbesWhenBothSidesChanged) {
   auto incremental = DetectIncremental(engine, t, rule, {0, 1});
   ASSERT_TRUE(incremental.ok());
   EXPECT_EQ(incremental->violations.size(), 1u);
+}
+
+TEST(Incremental, SymmetricUnblockedRuleMatchesFullDetect) {
+  // A symmetric, unblocked rule: full detection probes each unordered pair
+  // once (lower table position first), so the changed-rows path must too —
+  // whether one or both rows of the violating pair changed.
+  Table t(Schema({"a"}));
+  t.AppendRow({Value(static_cast<int64_t>(1))});
+  t.AppendRow({Value(static_cast<int64_t>(2))});
+  auto rule = std::make_shared<UdfRule>("always");
+  rule->set_symmetric(true).set_detect(
+      [](const Schema& schema, const Row& a, const Row& b,
+         std::vector<Violation>* out) {
+        Violation v;
+        v.rule_name = "always";
+        v.cells.push_back(UdfRule::MakeUdfCell(a, 0, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(b, 0, schema));
+        out->push_back(std::move(v));
+      });
+  ExecutionContext ctx(2);
+  RuleEngine engine(&ctx);
+  auto full = engine.Detect(t, rule);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->violations.size(), 1u);
+  auto ordered = [](const DetectionResult& result) {
+    std::multiset<std::vector<RowId>> out;
+    for (const auto& vf : result.violations) {
+      out.insert(vf.violation.RowIds());
+    }
+    return out;
+  };
+  for (const std::unordered_set<RowId>& changed :
+       {std::unordered_set<RowId>{0}, std::unordered_set<RowId>{1},
+        std::unordered_set<RowId>{0, 1}}) {
+    auto incremental = DetectIncremental(engine, t, rule, changed);
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    EXPECT_EQ(ordered(*incremental), ordered(*full))
+        << changed.size() << " changed row(s)";
+  }
 }
 
 TEST(Incremental, CleanLoopMatchesNonIncrementalResult) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -113,6 +114,27 @@ TEST(BinaryLayout, RejectsCorruptBuffers) {
   EXPECT_FALSE(DeserializeTableBinary(buffer.substr(0, 10)).ok());
   std::string truncated = buffer.substr(0, buffer.size() - 3);
   EXPECT_FALSE(DeserializeTableBinary(truncated).ok());
+}
+
+TEST(BinaryLayout, RejectsCorruptRowCount) {
+  // A corrupted row count must fail as a ParseError before anything is
+  // sized from it, not abort on an oversized allocation.
+  auto data = GenerateTaxA(200, 0.0, /*seed=*/3);
+  const std::string buffer = SerializeTableBinary(data.dirty);
+  size_t offset = sizeof(uint32_t) + sizeof(uint64_t);  // magic, num_cols
+  for (const auto& name : data.dirty.schema().attributes()) {
+    offset += sizeof(uint64_t) + name.size();
+  }
+  uint64_t stored = 0;
+  std::memcpy(&stored, buffer.data() + offset, sizeof(stored));
+  ASSERT_EQ(stored, 200u);
+  for (uint64_t bad : {uint64_t{201}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    std::string corrupt = buffer;
+    std::memcpy(&corrupt[offset], &bad, sizeof(bad));
+    auto back = DeserializeTableBinary(corrupt);
+    ASSERT_FALSE(back.ok()) << bad;
+    EXPECT_EQ(back.status().code(), StatusCode::kParseError) << bad;
+  }
 }
 
 TEST(BinaryLayout, FileRoundTrip) {

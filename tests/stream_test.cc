@@ -7,17 +7,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/lineage.h"
 #include "core/bigdansing.h"
 #include "core/stream_session.h"
 #include "data/csv.h"
 #include "datagen/datagen.h"
+#include "obs/quality.h"
 #include "obs/stream_stats.h"
 #include "rules/parser.h"
+#include "rules/udf_rule.h"
 #include "strict_json_test_util.h"
 
 namespace bigdansing {
@@ -51,6 +55,32 @@ struct InjectorGuard {
     FaultInjector::Instance().ClearSeenSites();
   }
 };
+
+/// RAII guard: turns the lineage ledger and the quality recorder on, empty,
+/// for one test and restores the disabled-and-empty state afterwards.
+struct RecordersOn {
+  RecordersOn() {
+    LineageRecorder::Instance().Clear();
+    LineageRecorder::Instance().set_enabled(true);
+    QualityRecorder::Instance().Clear();
+    QualityRecorder::Instance().set_enabled(true);
+  }
+  ~RecordersOn() {
+    LineageRecorder::Instance().set_enabled(false);
+    LineageRecorder::Instance().Clear();
+    QualityRecorder::Instance().set_enabled(false);
+    QualityRecorder::Instance().Clear();
+  }
+};
+
+/// The quality runs recorded under stream session `name`, oldest first.
+std::vector<QualityRunRecord> SessionRuns(const std::string& name) {
+  std::vector<QualityRunRecord> out;
+  for (auto& run : QualityRecorder::Instance().Runs()) {
+    if (run.session == name) out.push_back(std::move(run));
+  }
+  return out;
+}
 
 /// Ingests `data` into an empty table through a stream session in
 /// `batches` micro-batches, flushes, and returns the repaired bytes.
@@ -374,6 +404,137 @@ TEST(Stream, PreloadedTableIsCleanedByFlushAlone) {
   ASSERT_TRUE(flush.ok()) << flush.status().ToString();
   EXPECT_TRUE(flush->converged);
   EXPECT_EQ(Fingerprint(working), Fingerprint(reference));
+}
+
+TEST(Stream, SessionReconcilesBitExactWithLedgerAndStats) {
+  // The session-side twin of QualityIntegration's Clean() reconciliation:
+  // every window's fixes and survivors land in the ledger, the quality runs
+  // and the session stats alike.
+  RecordersOn recorders;
+  LineageRecorder& lineage = LineageRecorder::Instance();
+  auto data = GenerateTaxA(1200, 0.1, /*seed=*/57);
+  Table streamed(data.dirty.schema());
+  ExecutionContext ctx(4);
+  BigDansing system(&ctx);
+  StreamOptions options;
+  options.session_name = "stream-ledger-test";
+  options.batch_rows = 100000;  // One Append = one batch.
+  auto session = system.OpenStream(&streamed, TaxRules(), options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  size_t window_fixes = 0;
+  const auto& rows = data.dirty.rows();
+  constexpr size_t kBatches = 4;
+  const size_t per = (rows.size() + kBatches - 1) / kBatches;
+  for (size_t begin = 0; begin < rows.size(); begin += per) {
+    const size_t end = std::min(begin + per, rows.size());
+    ASSERT_TRUE((*session)
+                    ->Append(std::vector<Row>(rows.begin() + begin,
+                                              rows.begin() + end))
+                    .ok());
+    auto window = (*session)->Poll();
+    ASSERT_TRUE(window.ok()) << window.status().ToString();
+    window_fixes += window->applied_fixes;
+  }
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  EXPECT_TRUE(flush->converged);
+  for (const auto& window : flush->windows) {
+    window_fixes += window.applied_fixes;
+  }
+  const StreamSessionStats stats = (*session)->stats();
+
+  size_t ledger_fixes = 0;
+  size_t ledger_unresolved = 0;
+  std::map<std::string, std::map<std::string, uint64_t>> ledger_cells;
+  for (const LineageEntry& entry : lineage.Entries()) {
+    if (entry.applied) {
+      ++ledger_fixes;
+      ++ledger_cells[entry.rule][entry.attribute];
+    } else {
+      ++ledger_unresolved;
+    }
+  }
+  ASSERT_GT(ledger_fixes, 0u) << "the 10% error rate must force repairs";
+  EXPECT_EQ(ledger_fixes, window_fixes);
+  EXPECT_EQ(ledger_fixes, stats.fixes_applied);
+  EXPECT_EQ(ledger_unresolved, stats.unresolved_violations);
+
+  std::map<std::string, std::map<std::string, uint64_t>> run_cells;
+  std::map<std::string, uint64_t> run_unresolved;
+  for (const auto& run : SessionRuns("stream-ledger-test")) {
+    EXPECT_FALSE(run.in_progress);
+    for (const auto& [rule, columns] : run.by_rule_column) {
+      for (const auto& [column, counts] : columns) {
+        if (counts.fixes > 0) run_cells[rule][column] += counts.fixes;
+        run_unresolved[rule] += counts.unresolved;
+      }
+    }
+  }
+  EXPECT_EQ(run_cells, ledger_cells);
+  const auto by_rule = lineage.SummaryByRule();
+  for (const auto& [rule, summary] : by_rule) {
+    EXPECT_EQ(run_unresolved[rule], summary.unresolved) << rule;
+  }
+}
+
+TEST(Stream, FlushVerificationReportsFreezeState) {
+  // An oscillating rule is only stopped by freezing: it is asymmetric, so
+  // both orientations of the pair fire and each demands its left cell be
+  // the right one plus one — every fix re-violates. The Flush verification
+  // run must report the frozen and oscillating cells the session carries,
+  // not reset them to zero.
+  RecordersOn recorders;
+  auto rule = std::make_shared<UdfRule>("oscillator");
+  rule->set_symmetric(false)
+      .set_detect([](const Schema& schema, const Row& a, const Row& b,
+                     std::vector<Violation>* out) {
+        Violation v;
+        v.rule_name = "oscillator";
+        v.cells.push_back(UdfRule::MakeUdfCell(a, 0, schema));
+        v.cells.push_back(UdfRule::MakeUdfCell(b, 0, schema));
+        out->push_back(std::move(v));
+      })
+      .set_gen_fix([](const Schema&, const Violation& v, std::vector<Fix>* out) {
+        Fix fix;
+        fix.left = v.cells[0];
+        fix.op = FixOp::kEq;
+        fix.right = FixTerm::MakeConstant(
+            Value(v.cells[1].value.AsNumber() + 1.0));
+        out->push_back(std::move(fix));
+      });
+
+  Table table(Schema({"a"}));
+  ExecutionContext ctx(2);
+  BigDansing system(&ctx);
+  StreamOptions options;
+  options.session_name = "stream-freeze-test";
+  options.clean.repair_mode = RepairMode::kHypergraph;
+  options.clean.max_iterations = 6;
+  options.clean.freeze_after_updates = 2;
+  auto session = system.OpenStream(&table, {rule}, options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE((*session)
+                  ->AppendValues({{Value(static_cast<int64_t>(1))},
+                                  {Value(static_cast<int64_t>(2))}})
+                  .ok());
+  auto flush = (*session)->Flush();
+  ASSERT_TRUE(flush.ok()) << flush.status().ToString();
+  EXPECT_TRUE(flush->converged);
+
+  const auto runs = SessionRuns("stream-freeze-test");
+  ASSERT_GE(runs.size(), 2u);
+  const QualityRunRecord& window = runs[runs.size() - 2];
+  const QualityRunRecord& verify = runs.back();
+  ASSERT_FALSE(window.curve.empty());
+  ASSERT_FALSE(verify.curve.empty());
+  const QualityIterationPoint& before = window.curve.back();
+  ASSERT_GT(before.frozen_cells, 0u);
+  ASSERT_GT(before.oscillating_cells, 0u);
+  for (const QualityIterationPoint& point : verify.curve) {
+    EXPECT_GE(point.frozen_cells, before.frozen_cells);
+    EXPECT_GE(point.oscillating_cells, before.oscillating_cells);
+  }
 }
 
 }  // namespace
